@@ -9,23 +9,32 @@ build:
 test:
 	$(GO) test ./...
 
+# gate runs each named test of package $(1) on its own and fails when a
+# name matches no test: go test exits 0 with "[no tests to run]" when
+# -run matches nothing, so a renamed test would silently retire its gate.
+gate = for t in $(2); do \
+	out=$$($(GO) test $(1) -run="^$$t\$$" -count=1 2>&1); rc=$$?; printf '%s: %s\n' "$$t" "$$out"; \
+	[ $$rc -eq 0 ] || exit $$rc; \
+	case "$$out" in *'no tests to run'*) echo "gate $$t matched no test in $(1)" >&2; exit 1;; esac; \
+done
+
 # verify is the pre-submit gate: static checks, the race detector on the
 # concurrency-bearing packages (the parallel training engine, the
 # pool-fanned eval kernels, the kernel-conformance harness, the metrics
 # registry, the singleflight + snapshot HTTP layer, the response cache
-# and the experiment fan-out), the kerneltest differential harness (exact
-# kernels bitwise vs naive oracles, fast-math kernels ULP-bounded plus
-# the AUC rank-equivalence property), the allocation-regression gates on
-# the AUC kernel and the serve ranking/plan fast paths (run without
-# -race, which inflates allocation counts), the chaos suite, and a short
-# fuzz pass over the CSV parsers and the AUC kernel differential.
+# and the experiment fan-out), the kerneltest differential harness
+# (kernels bitwise vs naive oracles), the allocation-regression gates on
+# the AUC kernel, the serve ranking/plan/bulk fast paths and the request
+# scanner (run without -race, which inflates allocation counts), the
+# columnar row-independence gates, the chaos suite, and a short fuzz
+# pass over the CSV parsers and the AUC kernel differential.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
-	$(GO) test ./internal/eval -run='^TestAUCKernelZeroAlloc$$' -count=1
-	$(GO) test ./internal/serve -run='^(TestRankingCacheHitZeroAlloc|TestPlanCacheHitZeroAlloc|TestParsePlanFastZeroAlloc|TestBulkRankCacheHitZeroAlloc)$$' -count=1
-	$(GO) test ./internal/colfmt -run='^(TestReadAllocsRowIndependent|TestIngestAllocsRowIndependent)$$' -count=1
+	@$(call gate,./internal/eval,TestAUCKernelZeroAlloc)
+	@$(call gate,./internal/serve,TestRankingCacheHitZeroAlloc TestPlanCacheHitZeroAlloc TestParsePlanFastZeroAlloc TestBulkRankCacheHitZeroAlloc)
+	@$(call gate,./internal/colfmt,TestReadAllocsRowIndependent TestIngestAllocsRowIndependent)
 	$(MAKE) chaos
 	$(MAKE) fuzz-smoke
 

@@ -473,7 +473,9 @@ func (r *reader) strCol(p *payload, h secHdr, rows int) ([]string, error) {
 	}
 	out := make([]string, rows)
 	for i := 0; i < rows; i++ {
-		if offs[i] > offs[i+1] {
+		// offs[rows] == blobLen, so an offset past the blob is a
+		// monotonicity break further on; catch it before slicing.
+		if offs[i] > offs[i+1] || uint64(offs[i+1]) > blobLen {
 			return nil, fmt.Errorf("string offsets not monotone at row %d", i)
 		}
 		out[i] = s[offs[i]:offs[i+1]]

@@ -54,6 +54,7 @@ type bulkSeg struct {
 // bulkScratch bundles the per-request scratch state so the steady state
 // recycles one pool object instead of three slices.
 type bulkScratch struct {
+	pf   planFields
 	bf   bulkFields
 	segs []bulkSeg
 	line []byte
@@ -62,6 +63,7 @@ type bulkScratch struct {
 // release drops references into the request body and snapshots while
 // keeping slice capacity for the next request.
 func (sc *bulkScratch) release() {
+	sc.pf = planFields{}
 	sc.bf.reset()
 	for i := range sc.segs {
 		sc.segs[i] = bulkSeg{}
@@ -99,10 +101,11 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 		return
 	}
 	data := buf.Bytes()
-	bf := &sc.bf
-	if !parseBulkFast(data, bf) {
+	pf, bf := &sc.pf, &sc.bf
+	if !parseRequestFast(data, pf, bf) {
+		*pf = planFields{}
 		bf.reset()
-		if err := decodeBulkSlow(data, bf); err != nil {
+		if err := decodeBulkSlow(data, pf, bf); err != nil {
 			s.writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
@@ -126,12 +129,12 @@ func (s *Server) streamBulk(w http.ResponseWriter, r *http.Request, buf *bytes.B
 			return
 		}
 		var perr error
-		if cm, b, perr = planParams(&bf.plan); perr != nil {
+		if cm, b, perr = planParams(pf); perr != nil {
 			s.writeErr(w, http.StatusBadRequest, "%v", perr)
 			return
 		}
 	}
-	model := bf.plan.model
+	model := pf.model
 	if len(model) == 0 {
 		model = s.defaultModel
 	}

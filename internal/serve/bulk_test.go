@@ -378,12 +378,18 @@ func TestParseBulkFastSubsetOfStdlib(t *testing.T) {
 		`{"unknown":["x"]}`,
 		`{"unknown":true}`,
 		`{"regions":["A"],"regions":["B"]}`,
+		`{"region":"B","regions":["A"],"top":3}`, // "region" is unknown to a bulk request
+		`{"region":["B"],"model":"Cox"}`,
+		`{"region":7,"budget_km":2}`,
+		`{"region":null}`,
+		`{"Regions":["A"]}`,
+		`{"TOP":3}`,
 	)
 	for _, body := range corpus {
-		var fast bulkFields
-		ok := parseBulkFast([]byte(body), &fast)
-		var slow bulkFields
-		err := decodeBulkSlow([]byte(body), &slow)
+		var fast, slow planFields
+		var fastBulk, slowBulk bulkFields
+		ok := parseRequestFast([]byte(body), &fast, &fastBulk)
+		err := decodeBulkSlow([]byte(body), &slow, &slowBulk)
 		if !ok {
 			continue // declined: the fallback owns the body either way
 		}
@@ -391,14 +397,15 @@ func TestParseBulkFastSubsetOfStdlib(t *testing.T) {
 			t.Errorf("body %q: fast path accepted what encoding/json rejects: %v", body, err)
 			continue
 		}
-		if !bulkFieldsEqual(fast, slow) {
-			t.Errorf("body %q: decoded fields diverge\nfast: %+v\nslow: %+v", body, fast, slow)
+		if !planFieldsEqual(fast, slow) || !bulkFieldsEqual(fastBulk, slowBulk) {
+			t.Errorf("body %q: decoded fields diverge\nfast: %+v %+v\nslow: %+v %+v",
+				body, fast, fastBulk, slow, slowBulk)
 		}
 	}
 }
 
 func bulkFieldsEqual(a, b bulkFields) bool {
-	if !planFieldsEqual(a.plan, b.plan) || a.top != b.top || a.hasTop != b.hasTop {
+	if a.top != b.top || a.hasTop != b.hasTop {
 		return false
 	}
 	if len(a.regions) != len(b.regions) || len(a.pipeIDs) != len(b.pipeIDs) {

@@ -1,24 +1,24 @@
 package serve
 
-// Zero-allocation decoding of the POST /api/bulk/{rank,plan} request
-// bodies. The shape is the plan request plus a "top" count and two
-// string arrays ("regions", "pipe_ids"); like planreq.go, a hand-rolled
-// scanner handles the common shape without touching the heap — the
-// region/pipe slices alias the pooled body buffer and their backing
-// arrays are recycled with the bulkScratch — and anything outside the
-// strict subset falls back to encoding/json over the same bytes for
-// stdlib semantics and error text.
+// Decoding of the POST /api/bulk/{rank,plan} request bodies. The shape
+// is the plan request without "region", plus a "top" count and two
+// string arrays ("regions", "pipe_ids"). parseRequestFast (planreq.go)
+// decodes the common shape without touching the heap — the region/pipe
+// slices alias the pooled body buffer and their backing arrays are
+// recycled with the bulkScratch — and anything outside its strict subset
+// falls back to decodeBulkSlow over the same bytes for stdlib semantics
+// and error text.
 
 import (
 	"bytes"
 	"encoding/json"
 )
 
-// bulkFields is the decoded bulk request. plan carries the model and
-// the bulk-plan pricing fields; regions/pipe_ids alias the request body
-// buffer and are only valid while that buffer is.
+// bulkFields is the bulk-only part of a decoded bulk request; the model
+// and the bulk-plan pricing fields decode into a planFields alongside
+// it. regions/pipeIDs alias the request body buffer and are only valid
+// while that buffer is.
 type bulkFields struct {
-	plan    planFields
 	top     int
 	hasTop  bool
 	regions [][]byte
@@ -27,168 +27,10 @@ type bulkFields struct {
 
 // reset clears the fields while keeping the slice capacity for reuse.
 func (bf *bulkFields) reset() {
-	bf.plan = planFields{}
 	bf.top = 0
 	bf.hasTop = false
 	bf.regions = bf.regions[:0]
 	bf.pipeIDs = bf.pipeIDs[:0]
-}
-
-// parseBulkFast decodes data into bf. It returns false when the body is
-// outside its strict subset (including any malformed input), in which
-// case the caller must re-decode with decodeBulkSlow — both for bodies
-// the stdlib would accept and for its exact error text on ones it
-// would not.
-func parseBulkFast(data []byte, bf *bulkFields) bool {
-	i := skipJSONSpace(data, 0)
-	if i >= len(data) || data[i] != '{' {
-		return false
-	}
-	i = skipJSONSpace(data, i+1)
-	if i < len(data) && data[i] == '}' {
-		return true // empty object; trailing bytes ignored like json.Decoder
-	}
-	for {
-		key, next, ok := scanJSONString(data, i)
-		if !ok {
-			return false
-		}
-		i = skipJSONSpace(data, next)
-		if i >= len(data) || data[i] != ':' {
-			return false
-		}
-		i = skipJSONSpace(data, i+1)
-		if i >= len(data) {
-			return false
-		}
-		switch data[i] {
-		case '"':
-			val, next, ok := scanJSONString(data, i)
-			if !ok {
-				return false
-			}
-			i = next
-			switch string(key) {
-			case "model":
-				bf.plan.model = val
-			case "top", "regions", "pipe_ids",
-				"budget_km", "max_pipes", "inspection_per_km", "failure_cost", "max_spend":
-				return false // string into a typed field: stdlib error
-			}
-		case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-			tok, next, ok := scanJSONNumber(data, i)
-			if !ok {
-				return false
-			}
-			i = next
-			switch string(key) {
-			case "model", "regions", "pipe_ids":
-				return false // number into a string(-array) field
-			case "top":
-				n, ok := parseJSONInt(tok)
-				if !ok {
-					return false
-				}
-				bf.top, bf.hasTop = n, true
-			case "budget_km":
-				f, ok := parseJSONFloat(tok)
-				if !ok {
-					return false
-				}
-				bf.plan.budgetKM = f
-			case "max_pipes":
-				n, ok := parseJSONInt(tok)
-				if !ok {
-					return false
-				}
-				bf.plan.maxPipes = n
-			case "inspection_per_km":
-				f, ok := parseJSONFloat(tok)
-				if !ok {
-					return false
-				}
-				bf.plan.inspPerKM, bf.plan.hasInsp = f, true
-			case "failure_cost":
-				f, ok := parseJSONFloat(tok)
-				if !ok {
-					return false
-				}
-				bf.plan.failCost, bf.plan.hasFail = f, true
-			case "max_spend":
-				f, ok := parseJSONFloat(tok)
-				if !ok {
-					return false
-				}
-				bf.plan.maxSpend, bf.plan.hasSpend = f, true
-			}
-		case '[':
-			var dst *[][]byte
-			switch string(key) {
-			case "regions":
-				dst = &bf.regions
-			case "pipe_ids":
-				dst = &bf.pipeIDs
-			default:
-				// Arrays under any other key (typed fields error, unknown
-				// keys skip) are the stdlib's business.
-				return false
-			}
-			// A repeated key replaces the earlier array, matching the
-			// stdlib's last-wins duplicate-key semantics.
-			*dst = (*dst)[:0]
-			next, ok := scanStringArray(data, i, dst)
-			if !ok {
-				return false
-			}
-			i = next
-		default:
-			// true/false/null/object — even under unknown keys the stdlib
-			// has opinions (and for known keys, type errors or null
-			// no-ops); let it decide.
-			return false
-		}
-		i = skipJSONSpace(data, i)
-		if i >= len(data) {
-			return false
-		}
-		switch data[i] {
-		case ',':
-			i = skipJSONSpace(data, i+1)
-		case '}':
-			return true // trailing bytes ignored, matching json.Decoder
-		default:
-			return false
-		}
-	}
-}
-
-// scanStringArray scans a JSON array of simple strings starting at the
-// '[' in b[i], appending each element (aliasing b) to *dst. Anything
-// but plain strings — escapes, numbers, nesting — is out of the subset.
-func scanStringArray(b []byte, i int, dst *[][]byte) (next int, ok bool) {
-	i = skipJSONSpace(b, i+1)
-	if i < len(b) && b[i] == ']' {
-		return i + 1, true
-	}
-	for {
-		val, n, ok := scanJSONString(b, i)
-		if !ok {
-			return 0, false
-		}
-		*dst = append(*dst, val)
-		i = skipJSONSpace(b, n)
-		if i >= len(b) {
-			return 0, false
-		}
-		switch b[i] {
-		case ',':
-			i = skipJSONSpace(b, i+1)
-		case ']':
-			return i + 1, true
-		default:
-			return 0, false
-		}
-	}
 }
 
 // bulkRequest is the encoding/json fallback shape for the bulk
@@ -207,15 +49,19 @@ type bulkRequest struct {
 	MaxSpend        *float64 `json:"max_spend"`
 }
 
-// decodeBulkSlow is the fallback decoder for bodies outside
-// parseBulkFast's subset: full encoding/json semantics (and its exact
-// error messages), converted into the same bulkFields shape.
-func decodeBulkSlow(data []byte, bf *bulkFields) error {
+// decodeBulkSlow is the fallback decoder for bulk bodies outside
+// parseRequestFast's subset: full encoding/json semantics (and its exact
+// error messages), converted into the same planFields and bulkFields
+// shape.
+func decodeBulkSlow(data []byte, pf *planFields, bf *bulkFields) error {
 	var req bulkRequest
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
 		return err
 	}
-	bf.plan.model = []byte(req.Model)
+	pf.model = []byte(req.Model)
+	pf.budgetKM = req.BudgetKM
+	pf.maxPipes = req.MaxPipes
+	pf.setPriced(req.InspectionPerKM, req.FailureCost, req.MaxSpend)
 	if req.Top != nil {
 		bf.top, bf.hasTop = *req.Top, true
 	}
@@ -224,17 +70,6 @@ func decodeBulkSlow(data []byte, bf *bulkFields) error {
 	}
 	for _, id := range req.PipeIDs {
 		bf.pipeIDs = append(bf.pipeIDs, []byte(id))
-	}
-	bf.plan.budgetKM = req.BudgetKM
-	bf.plan.maxPipes = req.MaxPipes
-	if req.InspectionPerKM != nil {
-		bf.plan.inspPerKM, bf.plan.hasInsp = *req.InspectionPerKM, true
-	}
-	if req.FailureCost != nil {
-		bf.plan.failCost, bf.plan.hasFail = *req.FailureCost, true
-	}
-	if req.MaxSpend != nil {
-		bf.plan.maxSpend, bf.plan.hasSpend = *req.MaxSpend, true
 	}
 	return nil
 }

@@ -1,18 +1,26 @@
 package serve
 
-// Zero-allocation decoding of the POST /api/v1 plan request body. The
-// body is a tiny flat JSON object with a fixed key set, and the cached
-// plan path must not allocate, so a hand-rolled scanner handles the
-// common shape (simple strings, plain numbers, unknown scalar keys)
-// without touching the heap. Anything it is not absolutely sure about —
-// escapes, non-ASCII strings, nested values, exotic numbers, malformed
-// input — falls back to encoding/json over the same bytes, so the
-// accepted language and every error message are exactly the stdlib
-// decoder's. The fast path's accept-set is a strict subset of the
-// fallback's: it never admits a body encoding/json would reject, and it
-// decodes to the same values.
+// Zero-allocation decoding of the POST /api/plan and /api/bulk/{rank,plan}
+// request bodies. Both are tiny flat JSON objects with fixed key sets —
+// the bulk shape is the plan shape without "region", plus a "top" count
+// and two string arrays ("regions", "pipe_ids") — and the cached paths
+// must not allocate, so one hand-rolled scanner handles the common shape
+// (simple strings, plain numbers, string arrays) without touching the
+// heap. Anything it is not absolutely sure about — escapes, non-ASCII
+// strings, nested values, literals, exotic numbers, case-variant keys,
+// malformed input — is declined, and the caller re-decodes the same
+// bytes with its endpoint's encoding/json fallback (decodePlanSlow,
+// decodeBulkSlow), so the accepted language and every error message are
+// exactly the stdlib decoder's. The scanner's accept-set is a strict
+// subset of the fallback's: it never admits a body encoding/json would
+// reject, and it decodes to the same values.
 
-import "strconv"
+import (
+	"bytes"
+	"encoding/json"
+	"strconv"
+	"strings"
+)
 
 // planFields is the decoded plan request: value fields plus presence
 // flags instead of pointers, so the fast path fills it without
@@ -32,12 +40,30 @@ type planFields struct {
 	hasSpend  bool
 }
 
-// parsePlanFast decodes data into pf. It returns false when the body is
-// outside its strict subset (including any malformed input), in which
-// case the caller must re-decode with encoding/json — both for bodies
-// the stdlib would accept and for its exact error text on ones it
-// would not.
-func parsePlanFast(data []byte, pf *planFields) bool {
+// setPriced copies the optional priced parameters of a stdlib-decoded
+// request, where nil means absent, into pf's presence-flag form.
+func (pf *planFields) setPriced(insp, fail, spend *float64) {
+	if insp != nil {
+		pf.inspPerKM, pf.hasInsp = *insp, true
+	}
+	if fail != nil {
+		pf.failCost, pf.hasFail = *fail, true
+	}
+	if spend != nil {
+		pf.maxSpend, pf.hasSpend = *spend, true
+	}
+}
+
+// parseRequestFast decodes data into pf and, on the bulk endpoints,
+// into bulk, which is nil for /api/plan. Keys the endpoint's stdlib
+// struct lacks ("region" on bulk; "top", "regions" and "pipe_ids" on
+// plan) are skipped like any unknown key. It returns false when the
+// body is outside its strict subset (including any malformed input),
+// possibly after filling some fields; the caller must then reset them
+// and re-decode with the endpoint's fallback — both for bodies the
+// stdlib would accept and for its exact error text on ones it would
+// not.
+func parseRequestFast(data []byte, pf *planFields, bulk *bulkFields) bool {
 	i := skipJSONSpace(data, 0)
 	if i >= len(data) || data[i] != '{' {
 		return false
@@ -59,67 +85,59 @@ func parsePlanFast(data []byte, pf *planFields) bool {
 		if i >= len(data) {
 			return false
 		}
-		switch data[i] {
-		case '"':
-			val, next, ok := scanJSONString(data, i)
-			if !ok {
-				return false
+		// Each known key takes one value shape, and its scanner declines
+		// any other — a type error or a null no-op is the stdlib's call.
+		switch string(key) {
+		case "model":
+			pf.model, i, ok = scanJSONString(data, i)
+		case "budget_km":
+			pf.budgetKM, i, ok = scanJSONFloat(data, i)
+		case "max_pipes":
+			pf.maxPipes, i, ok = scanJSONInt(data, i)
+		case "inspection_per_km":
+			pf.inspPerKM, i, ok = scanJSONFloat(data, i)
+			pf.hasInsp = true
+		case "failure_cost":
+			pf.failCost, i, ok = scanJSONFloat(data, i)
+			pf.hasFail = true
+		case "max_spend":
+			pf.maxSpend, i, ok = scanJSONFloat(data, i)
+			pf.hasSpend = true
+		case "region":
+			if bulk != nil {
+				i, ok = skipJSONValue(data, i)
+				break
 			}
-			i = next
-			// A string is only valid for "model"/"region"; a string in a
-			// numeric field must fail with the stdlib's error text.
-			switch string(key) {
-			case "model":
-				pf.model = val
-			case "region":
-				pf.region = val
-			case "budget_km", "max_pipes", "inspection_per_km", "failure_cost", "max_spend":
-				return false
+			pf.region, i, ok = scanJSONString(data, i)
+		case "top":
+			if bulk == nil {
+				i, ok = skipJSONValue(data, i)
+				break
 			}
-		case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-			tok, next, ok := scanJSONNumber(data, i)
-			if !ok {
-				return false
+			bulk.top, i, ok = scanJSONInt(data, i)
+			bulk.hasTop = true
+		case "regions", "pipe_ids":
+			if bulk == nil {
+				i, ok = skipJSONValue(data, i)
+				break
 			}
-			i = next
-			switch string(key) {
-			case "model", "region":
-				return false // number into a string field: stdlib error
-			case "budget_km":
-				f, ok := parseJSONFloat(tok)
-				if !ok {
-					return false
-				}
-				pf.budgetKM = f
-			case "max_pipes":
-				n, ok := parseJSONInt(tok)
-				if !ok {
-					return false
-				}
-				pf.maxPipes = n
-			case "inspection_per_km":
-				f, ok := parseJSONFloat(tok)
-				if !ok {
-					return false
-				}
-				pf.inspPerKM, pf.hasInsp = f, true
-			case "failure_cost":
-				f, ok := parseJSONFloat(tok)
-				if !ok {
-					return false
-				}
-				pf.failCost, pf.hasFail = f, true
-			case "max_spend":
-				f, ok := parseJSONFloat(tok)
-				if !ok {
-					return false
-				}
-				pf.maxSpend, pf.hasSpend = f, true
+			dst := &bulk.regions
+			if key[0] == 'p' {
+				dst = &bulk.pipeIDs
 			}
+			// A repeated key replaces the earlier array, matching the
+			// stdlib's last-wins duplicate-key semantics.
+			*dst = (*dst)[:0]
+			i, ok = scanStringArray(data, i, dst)
 		default:
-			// true/false/null/object/array — even under unknown keys the
-			// stdlib has opinions (and for known keys, type errors or
-			// null no-ops); let it decide.
+			// encoding/json matches keys case-insensitively, so a key
+			// that folds to a field name is not unknown to it.
+			if foldsToRequestKey(key) {
+				return false
+			}
+			i, ok = skipJSONValue(data, i)
+		}
+		if !ok {
 			return false
 		}
 		i = skipJSONSpace(data, i)
@@ -133,6 +151,71 @@ func parsePlanFast(data []byte, pf *planFields) bool {
 			return true // trailing bytes ignored, matching json.Decoder
 		default:
 			return false
+		}
+	}
+}
+
+// requestKeys is every key the plan and bulk request structs declare.
+var requestKeys = [...]string{"model", "region", "budget_km", "max_pipes",
+	"inspection_per_km", "failure_cost", "max_spend", "top", "regions", "pipe_ids"}
+
+// foldsToRequestKey reports whether key matches a request key when case
+// is ignored. Keys are ASCII here (scanJSONString declines the rest), so
+// ASCII case folding is exactly the stdlib's matching rule.
+func foldsToRequestKey(key []byte) bool {
+	for _, k := range requestKeys {
+		if len(key) == len(k) && strings.EqualFold(string(key), k) {
+			return true
+		}
+	}
+	return false
+}
+
+// skipJSONValue steps over an unknown key's value when it is inside the
+// subset: a simple string, a number or an array of simple strings.
+func skipJSONValue(b []byte, i int) (next int, ok bool) {
+	switch b[i] {
+	case '"':
+		_, next, ok = scanJSONString(b, i)
+	case '[':
+		next, ok = scanStringArray(b, i, nil)
+	default:
+		_, next, ok = scanJSONNumber(b, i)
+	}
+	return next, ok
+}
+
+// scanStringArray scans a JSON array of simple strings starting at the
+// '[' in b[i], appending each element (aliasing b) to *dst, or only
+// validating it when dst is nil. Anything but plain strings — escapes,
+// numbers, nesting — is out of the subset.
+func scanStringArray(b []byte, i int, dst *[][]byte) (next int, ok bool) {
+	if i >= len(b) || b[i] != '[' {
+		return 0, false
+	}
+	i = skipJSONSpace(b, i+1)
+	if i < len(b) && b[i] == ']' {
+		return i + 1, true
+	}
+	for {
+		val, n, ok := scanJSONString(b, i)
+		if !ok {
+			return 0, false
+		}
+		if dst != nil {
+			*dst = append(*dst, val)
+		}
+		i = skipJSONSpace(b, n)
+		if i >= len(b) {
+			return 0, false
+		}
+		switch b[i] {
+		case ',':
+			i = skipJSONSpace(b, i+1)
+		case ']':
+			return i + 1, true
+		default:
+			return 0, false
 		}
 	}
 }
@@ -205,6 +288,28 @@ func scanJSONNumber(b []byte, i int) (tok []byte, next int, ok bool) {
 		}
 	}
 	return b[start:i], i, true
+}
+
+// scanJSONFloat scans a number token at b[i] and converts it for a
+// float64 field.
+func scanJSONFloat(b []byte, i int) (f float64, next int, ok bool) {
+	tok, next, ok := scanJSONNumber(b, i)
+	if !ok {
+		return 0, 0, false
+	}
+	f, ok = parseJSONFloat(tok)
+	return f, next, ok
+}
+
+// scanJSONInt scans a number token at b[i] and converts it for an int
+// field.
+func scanJSONInt(b []byte, i int) (n int, next int, ok bool) {
+	tok, next, ok := scanJSONNumber(b, i)
+	if !ok {
+		return 0, 0, false
+	}
+	n, ok = parseJSONInt(tok)
+	return n, next, ok
 }
 
 // parseJSONInt parses an integer token; fractions, exponents and
@@ -323,4 +428,35 @@ var pow10 = [23]float64{
 func parseFloatSlow(tok []byte) (float64, bool) {
 	f, err := strconv.ParseFloat(string(tok), 64)
 	return f, err == nil
+}
+
+// planRequest is the encoding/json fallback shape of a plan request. It
+// uses pointer fields for the priced parameters so "absent" (use the
+// default) and "explicitly zero" (a client bug — zero-cost inspections,
+// free failures or a zero spend cap price every plan nonsensically) are
+// distinguishable.
+type planRequest struct {
+	Model           string   `json:"model"`
+	Region          string   `json:"region"`
+	BudgetKM        float64  `json:"budget_km"`
+	MaxPipes        int      `json:"max_pipes"`
+	InspectionPerKM *float64 `json:"inspection_per_km"`
+	FailureCost     *float64 `json:"failure_cost"`
+	MaxSpend        *float64 `json:"max_spend"`
+}
+
+// decodePlanSlow is the fallback decoder for plan bodies outside
+// parseRequestFast's subset: full encoding/json semantics (and its exact
+// error messages), converted into the same planFields shape.
+func decodePlanSlow(data []byte, pf *planFields) error {
+	var req planRequest
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+		return err
+	}
+	pf.model = []byte(req.Model)
+	pf.region = []byte(req.Region)
+	pf.budgetKM = req.BudgetKM
+	pf.maxPipes = req.MaxPipes
+	pf.setPriced(req.InspectionPerKM, req.FailureCost, req.MaxSpend)
+	return nil
 }

@@ -1,11 +1,12 @@
 package serve
 
-// parsePlanFast's contract is "strict subset of encoding/json": whenever
-// the fast path accepts a body it must produce bit-identical fields to
-// the stdlib fallback, and everything else — malformed input included —
-// must be declined so decodePlanSlow can reproduce the stdlib's exact
-// behavior and error text. These tests pin both halves, plus the
-// zero-allocation property the cached plan path depends on.
+// parseRequestFast's contract is "strict subset of encoding/json":
+// whenever the fast path accepts a plan body it must produce
+// bit-identical fields to the stdlib fallback, and everything else —
+// malformed input included — must be declined so decodePlanSlow can
+// reproduce the stdlib's exact behavior and error text. These tests pin
+// both halves, plus the zero-allocation property the cached plan path
+// depends on.
 
 import (
 	"math"
@@ -14,6 +15,7 @@ import (
 
 func planFieldsEqual(a, b planFields) bool {
 	return string(a.model) == string(b.model) &&
+		string(a.region) == string(b.region) &&
 		math.Float64bits(a.budgetKM) == math.Float64bits(b.budgetKM) &&
 		a.maxPipes == b.maxPipes &&
 		math.Float64bits(a.inspPerKM) == math.Float64bits(b.inspPerKM) &&
@@ -45,6 +47,16 @@ var planReqCorpus = []string{
 	`{"budget_km":1,"budget_km":2}`,                // duplicate key: last wins
 	`{"unknown_number":12.5,"budget_km":3}`,
 	`{"unknown_string":"x","budget_km":3}`,
+	`{"Model":"Cox","BUDGET_KM":3}`, // encoding/json matches keys case-insensitively
+	`{"region":"B","budget_km":3}`,
+	`{"region":"B","region":"C","budget_km":3}`,
+	`{"region":5}`,
+	`{"region":null,"budget_km":3}`,
+	`{"top":5,"regions":["A"],"budget_km":1}`, // bulk-only keys: unknown to a plan
+	`{"pipe_ids":["P-1","P-2"],"top":"x","budget_km":1}`,
+	`{"regions":[1],"budget_km":1}`,
+	`{"unknown_list":["x","y"],"budget_km":3}`,
+	`{"unknown_list":["x",["y"]],"budget_km":3}`,
 	`{"model":""}`,
 	`{"max_pipes":0}`,
 	`{"max_pipes":-3}`,
@@ -80,11 +92,12 @@ var planReqCorpus = []string{
 }
 
 // TestParsePlanFastSubsetOfStdlib is the core property: fast-path accept
-// implies stdlib accept with bit-identical decoded fields.
+// of a plan body implies stdlib accept with bit-identical decoded
+// fields.
 func TestParsePlanFastSubsetOfStdlib(t *testing.T) {
 	for _, body := range planReqCorpus {
 		var fast planFields
-		ok := parsePlanFast([]byte(body), &fast)
+		ok := parseRequestFast([]byte(body), &fast, nil)
 		var slow planFields
 		err := decodePlanSlow([]byte(body), &slow)
 		if !ok {
@@ -110,10 +123,12 @@ func TestParsePlanFastCoverage(t *testing.T) {
 		`{"budget_km":2.5,"max_pipes":12}`,
 		`{"model":"Logistic","budget_km":4,"max_spend":15000,"inspection_per_km":9000,"failure_cost":120000}`,
 		`{"budget_km":1e3}`,
+		`{"region":"B","budget_km":3}`,
+		`{"top":5,"regions":["A"],"budget_km":1}`,
 	}
 	for _, body := range mustFast {
 		var pf planFields
-		if !parsePlanFast([]byte(body), &pf) {
+		if !parseRequestFast([]byte(body), &pf, nil) {
 			t.Errorf("body %q fell back to encoding/json", body)
 		}
 	}
@@ -122,12 +137,13 @@ func TestParsePlanFastCoverage(t *testing.T) {
 		`{"model":null}`,
 		`{"max_pipes":1.5}`,
 		`{"budget_km":"5"}`,
+		`{"Model":"Cox"}`,
 		`{bad`,
 		``,
 	}
 	for _, body := range mustDecline {
 		var pf planFields
-		if parsePlanFast([]byte(body), &pf) {
+		if parseRequestFast([]byte(body), &pf, nil) {
 			t.Errorf("body %q accepted by the fast path", body)
 		}
 	}
@@ -136,7 +152,7 @@ func TestParsePlanFastCoverage(t *testing.T) {
 func TestParsePlanFastValues(t *testing.T) {
 	var pf planFields
 	body := `{"model":"Logistic","budget_km":2.5,"max_pipes":12,"inspection_per_km":9000,"failure_cost":1.2e5,"max_spend":50000.25}`
-	if !parsePlanFast([]byte(body), &pf) {
+	if !parseRequestFast([]byte(body), &pf, nil) {
 		t.Fatal("fast path declined a plain body")
 	}
 	if string(pf.model) != "Logistic" || pf.budgetKM != 2.5 || pf.maxPipes != 12 {
@@ -157,7 +173,7 @@ func TestParsePlanFastZeroAlloc(t *testing.T) {
 	var pf planFields
 	allocs := testing.AllocsPerRun(500, func() {
 		pf = planFields{}
-		if !parsePlanFast(body, &pf) {
+		if !parseRequestFast(body, &pf, nil) {
 			t.Fatal("fast path declined")
 		}
 	})

@@ -1011,46 +1011,6 @@ func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 	s.writeCached(w, r, e)
 }
 
-// planRequest uses pointer fields for the priced parameters so "absent"
-// (use the default) and "explicitly zero" (a client bug — zero-cost
-// inspections, free failures or a zero spend cap price every plan
-// nonsensically) are distinguishable. This struct is the encoding/json
-// fallback shape; the hot path decodes the same fields into planFields
-// via parsePlanFast (see planreq.go).
-type planRequest struct {
-	Model           string   `json:"model"`
-	Region          string   `json:"region"`
-	BudgetKM        float64  `json:"budget_km"`
-	MaxPipes        int      `json:"max_pipes"`
-	InspectionPerKM *float64 `json:"inspection_per_km"`
-	FailureCost     *float64 `json:"failure_cost"`
-	MaxSpend        *float64 `json:"max_spend"`
-}
-
-// decodePlanSlow is the fallback decoder for bodies outside
-// parsePlanFast's subset: full encoding/json semantics (and its exact
-// error messages), converted into the same planFields shape.
-func decodePlanSlow(data []byte, pf *planFields) error {
-	var req planRequest
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
-		return err
-	}
-	pf.model = []byte(req.Model)
-	pf.region = []byte(req.Region)
-	pf.budgetKM = req.BudgetKM
-	pf.maxPipes = req.MaxPipes
-	if req.InspectionPerKM != nil {
-		pf.inspPerKM, pf.hasInsp = *req.InspectionPerKM, true
-	}
-	if req.FailureCost != nil {
-		pf.failCost, pf.hasFail = *req.FailureCost, true
-	}
-	if req.MaxSpend != nil {
-		pf.maxSpend, pf.hasSpend = *req.MaxSpend, true
-	}
-	return nil
-}
-
 type planResponse struct {
 	Model             string   `json:"model"`
 	Pipes             []string `json:"pipes"`
@@ -1091,7 +1051,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, buf *bytes.Bu
 	}
 	data := buf.Bytes()
 	var pf planFields
-	if !parsePlanFast(data, &pf) {
+	if !parseRequestFast(data, &pf, nil) {
 		pf = planFields{}
 		if err := decodePlanSlow(data, &pf); err != nil {
 			s.writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
