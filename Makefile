@@ -20,7 +20,8 @@ done
 
 # verify is the pre-submit gate: static checks, the race detector on the
 # concurrency-bearing packages (the parallel training engine, the
-# pool-fanned eval kernels, the kernel-conformance harness, the metrics
+# pool-fanned eval kernels, the pool-fanned feature fill and the columnar
+# source it reads, the kernel-conformance harness, the metrics
 # registry, the singleflight + snapshot HTTP layer, the response cache
 # and the experiment fan-out), the kerneltest differential harness
 # (kernels bitwise vs naive oracles), the allocation-regression gates on
@@ -30,7 +31,7 @@ done
 # pass over the CSV parsers and the AUC kernel differential.
 verify:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
+	$(GO) test -race ./internal/parallel/... ./internal/core/... ./internal/eval/... ./internal/feature/... ./internal/colfmt/... ./internal/kerneltest/... ./internal/obs/... ./internal/serve/... ./internal/respcache/... ./internal/experiments/... ./internal/wal/...
 	$(GO) test ./internal/kerneltest -count=1
 	@$(call gate,./internal/eval,TestAUCKernelZeroAlloc)
 	@$(call gate,./internal/serve,TestRankingCacheHitZeroAlloc TestPlanCacheHitZeroAlloc TestParsePlanFastZeroAlloc TestBulkRankCacheHitZeroAlloc)

@@ -29,10 +29,20 @@
 // machine-sensitive for a merge gate, but a 30% slide should never reach
 // a release unnoticed.
 //
-// Only benchmark result lines are parsed; all other output (pass/fail
-// summaries, pkg headers) is ignored. Lines that report B/op and
-// allocs/op (benchmarks using b.ReportAllocs) carry those fields; others
-// omit them.
+// Every document records the machine the run came from: the goos,
+// goarch and cpu header lines go test prints, the GOMAXPROCS the
+// benchmarks ran at (the -N suffix of their names, 1 when absent) and the
+// Go version of the toolchain running benchjson, which under `go run` in a
+// make recipe is the one that ran the benchmarks. -check compares that
+// record with the baseline's and prints a loud warning when they differ,
+// since ns/op across machines measures the machine as much as the code.
+// Baselines written before the record existed (a bare JSON array of
+// results) still load; -check then warns that the machine is unknown.
+//
+// Only benchmark result lines and those header lines are parsed; all
+// other output (pass/fail summaries, pkg headers) is ignored. Lines that
+// report B/op and allocs/op (benchmarks using b.ReportAllocs) carry those
+// fields; others omit them.
 package main
 
 import (
@@ -40,12 +50,29 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
+
+// Machine identifies the host and toolchain a run came from.
+type Machine struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
+}
+
+// Document is the JSON layout of a BENCH_*.json file.
+type Document struct {
+	Machine    Machine  `json:"machine"`
+	Benchmarks []Result `json:"benchmarks"`
+}
 
 // Result is one parsed benchmark line.
 type Result struct {
@@ -74,6 +101,60 @@ type Result struct {
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
+// procsSuffix splits the -GOMAXPROCS suffix go test appends to a
+// benchmark name when parallelism > 1; procs is 1 when there is none.
+func procsSuffix(name string) (base string, procs int) {
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
+		}
+	}
+	return name, 1
+}
+
+// parseMachine reads the machine record from go test -bench output: the
+// first goos, goarch and cpu header lines, and the GOMAXPROCS of the
+// first benchmark line (0 when there is none). GoVersion is left to the
+// caller.
+func parseMachine(lines []string) Machine {
+	var m Machine
+	for _, line := range lines {
+		key, val, ok := strings.Cut(line, ": ")
+		switch {
+		case ok && key == "goos" && m.GOOS == "":
+			m.GOOS = strings.TrimSpace(val)
+		case ok && key == "goarch" && m.GOARCH == "":
+			m.GOARCH = strings.TrimSpace(val)
+		case ok && key == "cpu" && m.CPU == "":
+			m.CPU = strings.TrimSpace(val)
+		case m.GOMAXPROCS == 0:
+			if b := benchLine.FindStringSubmatch(line); b != nil {
+				_, m.GOMAXPROCS = procsSuffix(b[1])
+			}
+		}
+	}
+	return m
+}
+
+// differences lists, one line per field, where fresh differs from the
+// baseline's record. Fields the baseline left empty are not compared.
+func differences(fresh, base Machine) []string {
+	var out []string
+	diff := func(field, got, want string) {
+		if want != "" && got != want {
+			out = append(out, fmt.Sprintf("%s: this run %q, baseline %q", field, got, want))
+		}
+	}
+	diff("goos", fresh.GOOS, base.GOOS)
+	diff("goarch", fresh.GOARCH, base.GOARCH)
+	diff("cpu", fresh.CPU, base.CPU)
+	if base.GOMAXPROCS != 0 {
+		diff("gomaxprocs", strconv.Itoa(fresh.GOMAXPROCS), strconv.Itoa(base.GOMAXPROCS))
+	}
+	diff("go_version", fresh.GoVersion, base.GoVersion)
+	return out
+}
+
 // parse extracts benchmark results from go test -bench output.
 func parse(lines []string) ([]Result, error) {
 	var out []Result
@@ -82,13 +163,7 @@ func parse(lines []string) ([]Result, error) {
 		if m == nil {
 			continue
 		}
-		name := m[1]
-		// Strip the -GOMAXPROCS suffix go test appends when parallelism > 1.
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
+		name, _ := procsSuffix(m[1])
 		iters, err := strconv.ParseInt(m[2], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("benchjson: bad iteration count in %q: %w", line, err)
@@ -140,13 +215,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
+	machine := parseMachine(lines)
+	machine.GoVersion = runtime.Version()
 	if *checkPath != "" {
 		baseline, err := readBaseline(*checkPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		violations := check(results, baseline, *tol)
+		warnMachine(os.Stderr, *checkPath, machine, baseline.Machine)
+		violations := check(results, baseline.Benchmarks, *tol)
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "benchjson: REGRESSION:", v)
 		}
@@ -154,29 +232,56 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) within %.0f%% of %s\n",
-			len(baseline), *tol*100, *checkPath)
+			len(baseline.Benchmarks), *tol*100, *checkPath)
 		return
 	}
-	if err := write(results, *out); err != nil {
+	if err := write(Document{Machine: machine, Benchmarks: results}, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-// readBaseline loads a checked-in BENCH_*.json document.
-func readBaseline(path string) ([]Result, error) {
+// warnMachine prints a loud warning to w when the fresh run's machine
+// differs from the baseline's, or when the baseline records none.
+func warnMachine(w io.Writer, path string, fresh, base Machine) {
+	if base == (Machine{}) {
+		fmt.Fprintf(w, "benchjson: WARNING: %s records no machine; ns/op limits may not apply to this one (%s/%s, %q, GOMAXPROCS=%d, %s)\n",
+			path, fresh.GOOS, fresh.GOARCH, fresh.CPU, fresh.GOMAXPROCS, fresh.GoVersion)
+		return
+	}
+	diffs := differences(fresh, base)
+	if len(diffs) == 0 {
+		return
+	}
+	banner := strings.Repeat("!", 72)
+	fmt.Fprintln(w, "benchjson:", banner)
+	fmt.Fprintf(w, "benchjson: WARNING: this run's machine differs from the one %s was recorded on:\n", path)
+	for _, d := range diffs {
+		fmt.Fprintln(w, "benchjson: WARNING:   "+d)
+	}
+	fmt.Fprintln(w, "benchjson: WARNING: ns/op differences below measure the machine as much as the code.")
+	fmt.Fprintln(w, "benchjson:", banner)
+}
+
+// readBaseline loads a checked-in BENCH_*.json document: a Document, or
+// the bare array of results written before machines were recorded (whose
+// Machine is then zero).
+func readBaseline(path string) (Document, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return Document{}, err
 	}
-	var baseline []Result
-	if err := json.Unmarshal(blob, &baseline); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
+	var doc Document
+	if err := json.Unmarshal(blob, &doc.Benchmarks); err != nil {
+		doc = Document{}
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			return Document{}, fmt.Errorf("baseline %s: %w", path, err)
+		}
 	}
-	if len(baseline) == 0 {
-		return nil, fmt.Errorf("baseline %s: no benchmarks", path)
+	if len(doc.Benchmarks) == 0 {
+		return Document{}, fmt.Errorf("baseline %s: no benchmarks", path)
 	}
-	return baseline, nil
+	return doc, nil
 }
 
 // check compares a fresh run against the baseline and returns one
@@ -218,14 +323,14 @@ func check(fresh, baseline []Result, tol float64) []string {
 	return violations
 }
 
-// write emits the results as indented JSON to path ("" = stdout). File
+// write emits the document as indented JSON to path ("" = stdout). File
 // output goes through a temp file + rename so a failed run never leaves
 // a truncated BENCH_*.json behind.
-func write(results []Result, path string) error {
+func write(doc Document, path string) error {
 	if path == "" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(results)
+		return enc.Encode(doc)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -233,7 +338,7 @@ func write(results []Result, path string) error {
 	}
 	enc := json.NewEncoder(tmp)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(doc); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -139,20 +140,26 @@ func TestReadBaselineRejectsGarbage(t *testing.T) {
 
 func TestWriteToFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	results := []Result{{Name: "BenchmarkX", Iterations: 10, NsPerOp: 1.5}}
-	if err := write(results, path); err != nil {
+	doc := Document{
+		Machine:    Machine{GOOS: "linux", GOARCH: "amd64", CPU: "Test CPU", GOMAXPROCS: 2, GoVersion: "go1.24.0"},
+		Benchmarks: []Result{{Name: "BenchmarkX", Iterations: 10, NsPerOp: 1.5}},
+	}
+	if err := write(doc, path); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back []Result
+	var back Document
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("file is not valid JSON: %v\n%s", err, blob)
 	}
-	if len(back) != 1 || back[0].Name != "BenchmarkX" || back[0].NsPerOp != 1.5 {
+	if len(back.Benchmarks) != 1 || back.Benchmarks[0].Name != "BenchmarkX" || back.Benchmarks[0].NsPerOp != 1.5 {
 		t.Fatalf("round trip %+v", back)
+	}
+	if back.Machine != doc.Machine {
+		t.Fatalf("machine round trip %+v, want %+v", back.Machine, doc.Machine)
 	}
 	// No temp droppings next to the output.
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -161,5 +168,88 @@ func TestWriteToFile(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("leftover files: %v", entries)
+	}
+}
+
+func TestParseMachine(t *testing.T) {
+	lines := []string{
+		"goos: linux",
+		"goarch: amd64",
+		"pkg: repro/internal/core",
+		"cpu: Intel(R) Xeon(R) Processor",
+		"BenchmarkFitnessEval-8  \t    1933\t    610513 ns/op",
+		"goos: darwin", // a later package's header does not override the first
+		"BenchmarkMatVec \t    2871\t    410645.5 ns/op",
+	}
+	want := Machine{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor", GOMAXPROCS: 8}
+	if got := parseMachine(lines); got != want {
+		t.Fatalf("parseMachine = %+v, want %+v", got, want)
+	}
+	// No -N suffix means the benchmarks ran at GOMAXPROCS 1.
+	if got := parseMachine(lines[6:]); got.GOMAXPROCS != 1 {
+		t.Fatalf("unsuffixed run: GOMAXPROCS %d, want 1", got.GOMAXPROCS)
+	}
+}
+
+func TestReadBaselineBothLayouts(t *testing.T) {
+	dir := t.TempDir()
+	bare := filepath.Join(dir, "bare.json")
+	if err := os.WriteFile(bare, []byte(`[{"name":"BenchmarkX","iterations":3,"ns_per_op":7}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := readBaseline(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 1 || doc.Benchmarks[0].NsPerOp != 7 || doc.Machine != (Machine{}) {
+		t.Fatalf("bare array read as %+v", doc)
+	}
+	stamped := filepath.Join(dir, "stamped.json")
+	blob := `{"machine":{"goos":"linux","cpu":"Y","gomaxprocs":4},"benchmarks":[{"name":"BenchmarkX","iterations":3,"ns_per_op":7}]}`
+	if err := os.WriteFile(stamped, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc, err = readBaseline(stamped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Machine{GOOS: "linux", CPU: "Y", GOMAXPROCS: 4}); doc.Machine != want || len(doc.Benchmarks) != 1 {
+		t.Fatalf("document read as %+v", doc)
+	}
+	noBench := filepath.Join(dir, "nobench.json")
+	if err := os.WriteFile(noBench, []byte(`{"machine":{"goos":"linux"},"benchmarks":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readBaseline(noBench); err == nil {
+		t.Fatal("document without benchmarks accepted")
+	}
+}
+
+func TestWarnMachine(t *testing.T) {
+	base := Machine{GOOS: "linux", GOARCH: "amd64", CPU: "A", GOMAXPROCS: 8, GoVersion: "go1.24.0"}
+	var buf strings.Builder
+	warnMachine(&buf, "BENCH_core.json", base, base)
+	if buf.Len() != 0 {
+		t.Fatalf("same machine warned: %s", buf.String())
+	}
+
+	fresh := base
+	fresh.CPU, fresh.GOMAXPROCS = "B", 2
+	buf.Reset()
+	warnMachine(&buf, "BENCH_core.json", fresh, base)
+	out := buf.String()
+	for _, want := range []string{"WARNING", "differs", `cpu: this run "B", baseline "A"`, `gomaxprocs: this run "2", baseline "8"`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("warning lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "goos:") || strings.Contains(out, "go_version:") {
+		t.Fatalf("warning names fields that match:\n%s", out)
+	}
+
+	buf.Reset()
+	warnMachine(&buf, "BENCH_old.json", fresh, Machine{})
+	if out := buf.String(); !strings.Contains(out, "WARNING") || !strings.Contains(out, "BENCH_old.json records no machine") {
+		t.Fatalf("unstamped baseline did not warn:\n%s", out)
 	}
 }

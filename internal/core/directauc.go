@@ -323,10 +323,10 @@ func classMeanDiff(s *feature.Set, pos, neg []int) []float64 {
 	d := s.Dim()
 	mp, mn := make([]float64, d), make([]float64, d)
 	for _, i := range pos {
-		linalg.Axpy(1, s.X[i], mp)
+		linalg.Axpy(1, s.Row(i), mp)
 	}
 	for _, i := range neg {
-		linalg.Axpy(1, s.X[i], mn)
+		linalg.Axpy(1, s.Row(i), mn)
 	}
 	linalg.Scale(1/float64(len(pos)), mp)
 	linalg.Scale(1/float64(len(neg)), mn)
@@ -385,7 +385,7 @@ func newFitnessBatch(s *feature.Set, pos, neg []int, batchNeg int) *fitnessBatch
 // re-gathers the negative tail.
 func (b *fitnessBatch) gather(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		copy(b.sub[i*b.stride:(i+1)*b.stride], b.set.X[b.rows[i]])
+		copy(b.sub[i*b.stride:(i+1)*b.stride], b.set.Row(b.rows[i]))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/feature"
 	"repro/internal/linalg"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -67,9 +68,23 @@ func (m *RankSVM) Fit(train *feature.Set) error {
 	return m.FitContext(context.Background(), train)
 }
 
+// rankSVMBlock is the number of pairs whose difference vectors are
+// gathered together before the serial SGD steps consume them. A block
+// never spans an epoch, so cancellation stays at epoch boundaries.
+const rankSVMBlock = 4096
+
 // FitContext implements ContextFitter: Fit with a cancellation check at
 // every epoch boundary. The checks never touch the RNG, so uncancelled
 // runs match Fit bit for bit.
+//
+// Pairs are processed in blocks: the block's indices are drawn on the
+// caller's goroutine in the per-pair RNG order (positive, then negative),
+// the difference vectors are gathered into a block buffer across the
+// pool (each slot written by one worker), and the SGD steps then run
+// serially in pair order. The random row reads dominate the fit on large
+// sets; gathering them in parallel, ahead of the dependent update chain,
+// overlaps their cache misses, while every floating-point operation on w
+// happens in the same order as a one-pair-at-a-time loop.
 func (m *RankSVM) FitContext(ctx context.Context, train *feature.Set) error {
 	if err := validateFitInputs(train); err != nil {
 		return fmt.Errorf("%s: %w", m.Name(), err)
@@ -79,25 +94,43 @@ func (m *RankSVM) FitContext(ctx context.Context, train *feature.Set) error {
 	cfg.fillDefaults(len(pos))
 	rng := stats.NewRNG(cfg.Seed)
 
-	w := make([]float64, train.Dim())
-	diff := make([]float64, train.Dim())
+	dim := train.Dim()
+	block := min(rankSVMBlock, cfg.PairsPerEpoch)
+	pi, ni := make([]int, block), make([]int, block)
+	diffs := make([]float64, block*dim)
+	pool := parallel.New(0)
+	gather := func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			xi, xj := train.Row(pi[k]), train.Row(ni[k])
+			diff := diffs[k*dim : (k+1)*dim]
+			for d := range diff {
+				diff[d] = xi[d] - xj[d]
+			}
+		}
+	}
+
+	w := make([]float64, dim)
 	t := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%s: cancelled at epoch %d: %w", m.Name(), epoch, err)
 		}
-		for k := 0; k < cfg.PairsPerEpoch; k++ {
-			t++
-			xi := train.X[pos[rng.Intn(len(pos))]]
-			xj := train.X[neg[rng.Intn(len(neg))]]
-			for d := range diff {
-				diff[d] = xi[d] - xj[d]
+		for done := 0; done < cfg.PairsPerEpoch; done += block {
+			n := min(block, cfg.PairsPerEpoch-done)
+			for k := 0; k < n; k++ {
+				pi[k] = pos[rng.Intn(len(pos))]
+				ni[k] = neg[rng.Intn(len(neg))]
 			}
-			lr := cfg.LearningRate / math.Sqrt(float64(t))
-			// L2 shrinkage.
-			linalg.Scale(1-lr*cfg.Lambda, w)
-			if linalg.Dot(w, diff) < 1 {
-				linalg.Axpy(lr, diff, w)
+			pool.Run(n, gather)
+			for k := 0; k < n; k++ {
+				t++
+				diff := diffs[k*dim : (k+1)*dim]
+				lr := cfg.LearningRate / math.Sqrt(float64(t))
+				// L2 shrinkage.
+				linalg.Scale(1-lr*cfg.Lambda, w)
+				if linalg.Dot(w, diff) < 1 {
+					linalg.Axpy(lr, diff, w)
+				}
 			}
 		}
 	}

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/linalg"
+	"repro/internal/parallel"
 )
 
 // Groups selects which feature groups enter the design matrix. The zero
@@ -152,6 +153,16 @@ func (s *Set) Flat() ([]float64, int) {
 	return s.flat, s.stride
 }
 
+// Row returns row i. Dense sets slice it straight from the flat backing,
+// which spares random-access readers the extra load of X[i]'s slice
+// header; view sets return X[i].
+func (s *Set) Row(i int) []float64 {
+	if s.flat != nil {
+		return s.flat[i*s.stride : (i+1)*s.stride : (i+1)*s.stride]
+	}
+	return s.X[i]
+}
+
 // Len returns the number of instances.
 func (s *Set) Len() int { return len(s.X) }
 
@@ -189,13 +200,6 @@ func (s *Set) Matrix() *linalg.Matrix {
 	return m
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Builder encodes a registry's pipes into Sets. A Builder is bound to one
 // Source (a materialized network or a columnar dataset); categorical
 // vocabularies are collected from the full registry (attributes are known
@@ -218,8 +222,12 @@ type Builder struct {
 	fitted bool
 	mean   []float64
 	scale  []float64
-	// isNumeric marks columns that participate in standardization.
-	isNumeric []bool
+	// numeric lists, in column order, the columns that participate in
+	// standardization.
+	numeric []int
+	// ageCol and histCol are the first of the two age and the two history
+	// columns, the only ones that vary by year; -1 when the group is off.
+	ageCol, histCol int
 }
 
 // NewBuilder returns a Builder over the network. Zero-valued Options get
@@ -293,9 +301,10 @@ func sortedKeys(m map[string]bool) []string {
 func (b *Builder) buildNames() {
 	g := b.opts.Groups
 	var names []string
-	var numeric []bool
-	addNum := func(n string) { names = append(names, n); numeric = append(numeric, true) }
-	addCat := func(n string) { names = append(names, n); numeric = append(numeric, false) }
+	var numeric []int
+	addNum := func(n string) { numeric = append(numeric, len(names)); names = append(names, n) }
+	addCat := func(n string) { names = append(names, n) }
+	b.ageCol, b.histCol = -1, -1
 
 	if g.Material {
 		for _, m := range b.materials {
@@ -306,6 +315,7 @@ func (b *Builder) buildNames() {
 		}
 	}
 	if g.Age {
+		b.ageCol = len(names)
 		addNum("age")
 		addNum("log_age")
 	}
@@ -331,11 +341,12 @@ func (b *Builder) buildNames() {
 		addNum("log_dist_traffic")
 	}
 	if g.History {
+		b.histCol = len(names)
 		addNum("prior_failures")
 		addNum("had_failure")
 	}
 	b.names = names
-	b.isNumeric = numeric
+	b.numeric = numeric
 }
 
 // Names returns the expanded feature names in column order.
@@ -344,11 +355,10 @@ func (b *Builder) Names() []string { return append([]string(nil), b.names...) }
 // Dim returns the feature dimensionality.
 func (b *Builder) Dim() int { return len(b.names) }
 
-// rowInto encodes pipe i (attributes in p) as of a given year into x, a
-// caller-owned slice of length Dim (typically a row view of the flat
-// backing). historyFrom..historyTo bound the failure window visible to the
-// history features.
-func (b *Builder) rowInto(x []float64, i int, p *dataset.Pipe, year, historyFrom, historyTo int) {
+// staticInto writes pipe p's year-independent columns into x, a
+// caller-owned slice of length Dim. The age and history columns are left
+// untouched; the fill writes them per year.
+func (b *Builder) staticInto(x []float64, p *dataset.Pipe) {
 	g := b.opts.Groups
 	j := 0
 	put := func(v float64) { x[j] = v; j++ }
@@ -361,9 +371,7 @@ func (b *Builder) rowInto(x []float64, i int, p *dataset.Pipe, year, historyFrom
 		}
 	}
 	if g.Age {
-		age := p.AgeAt(year)
-		put(age)
-		put(math.Log1p(age))
+		j += 2
 	}
 	if g.Geometry {
 		put(math.Log(p.DiameterMM))
@@ -386,14 +394,6 @@ func (b *Builder) rowInto(x []float64, i int, p *dataset.Pipe, year, historyFrom
 	if g.Traffic {
 		put(math.Log1p(p.DistToTrafficM))
 	}
-	if g.History {
-		n := 0
-		if historyTo >= historyFrom {
-			n = b.src.FailureCountAt(i, historyFrom, historyTo)
-		}
-		put(float64(n))
-		put(boolTo01(n > 0))
-	}
 }
 
 func boolTo01(v bool) float64 {
@@ -408,35 +408,9 @@ func boolTo01(v bool) float64 {
 // use failures in [split.TrainFrom, y-1] only. The returned set is dense
 // (one contiguous backing array; see Set.Flat).
 func (b *Builder) TrainSet(split dataset.Split) (*Set, error) {
-	numPipes := b.src.NumPipes()
-	rows := 0
-	for y := split.TrainFrom; y <= split.TrainTo; y++ {
-		for i := 0; i < numPipes; i++ {
-			if b.src.LaidYearAt(i) <= y {
-				rows++
-			}
-		}
-	}
-	if rows == 0 {
+	s := b.fill(split.TrainFrom, split.TrainTo, split.TrainFrom, func(y int) int { return y - 1 })
+	if s == nil {
 		return nil, fmt.Errorf("feature: empty training set for split %+v", split)
-	}
-	s := NewDense(b.Names(), rows, b.Dim())
-	r := 0
-	var p dataset.Pipe
-	for y := split.TrainFrom; y <= split.TrainTo; y++ {
-		for i := 0; i < numPipes; i++ {
-			if b.src.LaidYearAt(i) > y {
-				continue
-			}
-			b.src.PipeAt(i, &p)
-			b.rowInto(s.X[r], i, &p, y, split.TrainFrom, y-1)
-			s.Label[r] = b.src.FailedInYearAt(i, y)
-			s.Age[r] = p.AgeAt(y)
-			s.LengthM[r] = p.LengthM
-			s.PipeIdx[r] = i
-			s.Year[r] = y
-			r++
-		}
 	}
 	b.fitScaler(s)
 	b.apply(s)
@@ -450,37 +424,104 @@ func (b *Builder) TestSet(split dataset.Split) (*Set, error) {
 	if !b.fitted {
 		return nil, fmt.Errorf("feature: TestSet called before TrainSet")
 	}
-	numPipes := b.src.NumPipes()
-	y := split.TestYear
-	rows := 0
-	for i := 0; i < numPipes; i++ {
-		if b.src.LaidYearAt(i) <= y {
-			rows++
-		}
-	}
-	if rows == 0 {
+	s := b.fill(split.TestYear, split.TestYear, split.TrainFrom, func(int) int { return split.TrainTo })
+	if s == nil {
 		return nil, fmt.Errorf("feature: empty test set for split %+v", split)
-	}
-	s := NewDense(b.Names(), rows, b.Dim())
-	r := 0
-	var p dataset.Pipe
-	for i := 0; i < numPipes; i++ {
-		if b.src.LaidYearAt(i) > y {
-			continue
-		}
-		b.src.PipeAt(i, &p)
-		b.rowInto(s.X[r], i, &p, y, split.TrainFrom, split.TrainTo)
-		s.Label[r] = b.src.FailedInYearAt(i, y)
-		s.Age[r] = p.AgeAt(y)
-		s.LengthM[r] = p.LengthM
-		s.PipeIdx[r] = i
-		s.Year[r] = y
-		r++
 	}
 	b.apply(s)
 	return s, nil
 }
 
+// fill builds the unscaled set of one row per year in [from, to] per pipe
+// laid by that year, or nil when there are no such rows. Rows are
+// year-major: all of year y's rows precede year y+1's, and within a year
+// pipes keep registry order. History for year y counts failures in
+// [histFrom, histTo(y)].
+//
+// The registry is walked pipe-major in one contiguous chunk per pool
+// worker, so each pipe's attributes are read and its static columns
+// encoded once rather than once per year. A first pass counts, per chunk,
+// the pipes laid by each year; the counts give every chunk its own write
+// cursor within each year's block, so every row lands at its year-major
+// position whatever the worker count. Each cell is computed by the same
+// expression as in a year-major loop, so the set is bit-identical to one.
+func (b *Builder) fill(from, to, histFrom int, histTo func(year int) int) *Set {
+	n, dim, years := b.src.NumPipes(), b.Dim(), to-from+1
+	pool := parallel.New(0)
+	// cursor[c*years+k] first counts chunk c's pipes laid by year from+k,
+	// then becomes chunk c's next row in that year.
+	cursor := make([]int, pool.Workers()*years)
+	pool.Run(n, func(c, lo, hi int) {
+		cnt := cursor[c*years : (c+1)*years]
+		for i := lo; i < hi; i++ {
+			if k := max(b.src.LaidYearAt(i), from) - from; k < years {
+				cnt[k]++
+			}
+		}
+		for k := 1; k < years; k++ {
+			cnt[k] += cnt[k-1]
+		}
+	})
+	rows := 0
+	for k := 0; k < years; k++ {
+		for c := 0; c < pool.Workers(); c++ {
+			cnt := cursor[c*years+k]
+			cursor[c*years+k] = rows
+			rows += cnt
+		}
+	}
+	if rows == 0 {
+		return nil
+	}
+
+	s := NewDense(b.Names(), rows, dim)
+	flat := s.flat
+	static := make([]float64, pool.Workers()*dim)
+	pool.Run(n, func(c, lo, hi int) {
+		cur := cursor[c*years : (c+1)*years]
+		st := static[c*dim : (c+1)*dim]
+		var p dataset.Pipe
+		for i := lo; i < hi; i++ {
+			laid := b.src.LaidYearAt(i)
+			if laid > to {
+				continue
+			}
+			b.src.PipeAt(i, &p)
+			b.staticInto(st, &p)
+			for y := max(laid, from); y <= to; y++ {
+				r := cur[y-from]
+				cur[y-from]++
+				x := flat[r*dim : (r+1)*dim]
+				copy(x, st)
+				age := p.AgeAt(y)
+				if b.ageCol >= 0 {
+					x[b.ageCol] = age
+					x[b.ageCol+1] = math.Log1p(age)
+				}
+				if b.histCol >= 0 {
+					nf := 0
+					if hTo := histTo(y); hTo >= histFrom {
+						nf = b.src.FailureCountAt(i, histFrom, hTo)
+					}
+					x[b.histCol] = float64(nf)
+					x[b.histCol+1] = boolTo01(nf > 0)
+				}
+				s.Label[r] = b.src.FailedInYearAt(i, y)
+				s.Age[r] = age
+				s.LengthM[r] = p.LengthM
+				s.PipeIdx[r] = i
+				s.Year[r] = y
+			}
+		}
+	})
+	return s
+}
+
+// fitScaler fits the per-column mean and standard deviation of the
+// numeric columns. Both passes sweep the matrix row by row with one
+// accumulator per column, so each column's sum is added in row order,
+// exactly as a column-at-a-time loop would; the passes stay serial to
+// keep that order.
 func (b *Builder) fitScaler(s *Set) {
 	d := b.Dim()
 	b.mean = make([]float64, d)
@@ -493,38 +534,45 @@ func (b *Builder) fitScaler(s *Set) {
 		return
 	}
 	n := float64(s.Len())
-	for j := 0; j < d; j++ {
-		if !b.isNumeric[j] {
-			continue
+	flat := s.flat
+	acc := make([]float64, len(b.numeric))
+	for r := 0; r < len(flat); r += d {
+		row := flat[r : r+d]
+		for k, j := range b.numeric {
+			acc[k] += row[j]
 		}
-		sum := 0.0
-		for _, row := range s.X {
-			sum += row[j]
+	}
+	for k, j := range b.numeric {
+		b.mean[j] = acc[k] / n
+		acc[k] = 0
+	}
+	for r := 0; r < len(flat); r += d {
+		row := flat[r : r+d]
+		for k, j := range b.numeric {
+			dv := row[j] - b.mean[j]
+			acc[k] += dv * dv
 		}
-		mean := sum / n
-		ss := 0.0
-		for _, row := range s.X {
-			dv := row[j] - mean
-			ss += dv * dv
-		}
-		sd := math.Sqrt(ss / n)
-		b.mean[j] = mean
-		if sd > 1e-12 {
+	}
+	for k, j := range b.numeric {
+		if sd := math.Sqrt(acc[k] / n); sd > 1e-12 {
 			b.scale[j] = sd
 		}
 	}
 	b.fitted = true
 }
 
+// apply standardizes the numeric columns in place, fanned out by row.
 func (b *Builder) apply(s *Set) {
 	if !b.opts.Standardize {
 		return
 	}
-	for _, row := range s.X {
-		for j := range row {
-			if b.isNumeric[j] {
+	d := b.Dim()
+	parallel.New(0).Run(s.Len(), func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			row := s.flat[r*d : (r+1)*d]
+			for _, j := range b.numeric {
 				row[j] = (row[j] - b.mean[j]) / b.scale[j]
 			}
 		}
-	}
+	})
 }

@@ -10,10 +10,13 @@ import (
 // binary dataset file (internal/colfmt). Pipes are addressed by registry
 // row index; implementations must present a stable order across calls —
 // the Builder's vocabulary collection, row counting and fill passes all
-// iterate rows 0..NumPipes()-1 and rely on seeing identical values each
-// time. Because every implementation feeds the same Builder arithmetic in
-// the same order, two Sources describing the same data produce bit-identical
-// Sets (see TestColumnarBuilderBitIdentical in internal/colfmt).
+// read rows 0..NumPipes()-1 and rely on seeing identical values each
+// time. The counting and fill passes split the rows into chunks read by
+// concurrent goroutines, so every method must be safe for concurrent use
+// (both implementations only read immutable state). Because every
+// implementation feeds the same Builder arithmetic, two Sources describing
+// the same data produce bit-identical Sets (see
+// TestColumnarBuilderBitIdentical in internal/colfmt).
 type Source interface {
 	// NumPipes returns the registry size.
 	NumPipes() int

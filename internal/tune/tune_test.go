@@ -1,9 +1,11 @@
 package tune
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/feature"
 	"repro/internal/stats"
 )
@@ -128,5 +130,44 @@ func TestSelectByCVErrors(t *testing.T) {
 	empty := &feature.Set{}
 	if _, err := SelectByCV(empty, bad, 2, 1); err == nil {
 		t.Fatal("empty set must error")
+	}
+}
+
+// TestFoldViewsFitLikeDenseCopies checks that a CV fold, a row-subset
+// view with no flat backing, trains RankSVM to the same bits as a dense
+// copy of the same rows, which reads from the flat backing.
+func TestFoldViewsFitLikeDenseCopies(t *testing.T) {
+	train := noisySet(5, 900, 6)
+	folds, err := eval.StratifiedKFold(train.Label, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for hi := range folds {
+		trIdx, err := eval.TrainIndices(folds, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := subset(train, trIdx)
+		if flat, _ := view.Flat(); flat != nil {
+			t.Fatal("fold subset unexpectedly has a flat backing")
+		}
+		dense := feature.NewDense(view.Names, view.Len(), view.Dim())
+		for i, row := range view.X {
+			copy(dense.X[i], row)
+		}
+		copy(dense.Label, view.Label)
+		cfg := core.RankSVMConfig{Seed: 3, Epochs: 3, PairsPerEpoch: 5000}
+		a, b := core.NewRankSVM(cfg), core.NewRankSVM(cfg)
+		if err := a.Fit(view); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Fit(dense); err != nil {
+			t.Fatal(err)
+		}
+		for j := range a.W {
+			if math.Float64bits(a.W[j]) != math.Float64bits(b.W[j]) {
+				t.Fatalf("fold %d: weight %d is %v on the view, %v on the dense copy", hi, j, a.W[j], b.W[j])
+			}
+		}
 	}
 }
